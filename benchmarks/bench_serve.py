@@ -13,9 +13,14 @@ stream:
   :class:`repro.serve.ServeEngine` with the replay driver, which also
   yields exact p50/p99 batch latency via the ``repro_serve_*`` metrics.
 
-Writes ``BENCH_serve.json``. Exits non-zero if the compiled engine's
-labels differ from the reference anywhere on the stream, or if the
-compiled engine is not at least ``MIN_SPEEDUP``× the per-record
+A second row serves a ``FOREST_TREES``-member bagged forest over the same
+stream in ``FOREST_BATCH``-record batches: ``CompiledForest.predict_batch``
+(one stacked walk over every member) against the reference vote
+``DecisionForest.predict``.
+
+Writes ``BENCH_serve.json``. Exits non-zero if the compiled tree's or
+forest's labels differ from the reference anywhere on the stream, or if
+the compiled tree engine is not at least ``MIN_SPEEDUP``× the per-record
 reference in records/sec.
 
 Run standalone (CI smoke uses ``--quick``)::
@@ -37,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.reporting import format_table  # noqa: E402
 from repro.clouds import StoppingRule, fit_direct  # noqa: E402
+from repro.clouds.forest import DecisionForest  # noqa: E402
 from repro.data import generate_quest, quest_schema  # noqa: E402
 from repro.obs import HealthThresholds  # noqa: E402
 from repro.serve import (  # noqa: E402
@@ -51,6 +57,10 @@ MIN_SPEEDUP = 10.0
 
 #: records the per-record baseline actually walks (extrapolated after)
 BASELINE_SAMPLE = 2_000
+
+#: the compiled-forest row: bagged members, records per request batch
+FOREST_TREES = 8
+FOREST_BATCH = 4096
 
 FULL = {"train": 20_000, "serve": 2_000_000, "batches": [1024, 4096, 16384]}
 QUICK = {"train": 6_000, "serve": 300_000, "batches": [4096]}
@@ -71,6 +81,46 @@ def vectorized_records_per_sec(tree, columns, n: int) -> tuple[float, np.ndarray
     t0 = time.perf_counter()
     out = tree.predict(columns)
     return n / (time.perf_counter() - t0), out
+
+
+def bagged_forest(schema, columns, labels, seed: int) -> DecisionForest:
+    """``FOREST_TREES`` trees, each fitted on a bootstrap bag."""
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    trees = []
+    for _ in range(FOREST_TREES):
+        bag = rng.integers(0, n, n)
+        trees.append(
+            fit_direct(
+                schema, {k: v[bag] for k, v in columns.items()}, labels[bag],
+                StoppingRule(min_node=8),
+            )
+        )
+    return DecisionForest(trees=trees, schema=schema)
+
+
+def forest_point(forest, columns, n: int) -> dict:
+    """Compiled forest vs reference vote over the same batch stream."""
+    compiled = forest.compile()
+    batches = [
+        {k: v[i : i + FOREST_BATCH] for k, v in columns.items()}
+        for i in range(0, n, FOREST_BATCH)
+    ]
+    t0 = time.perf_counter()
+    got = [compiled.predict_batch(b) for b in batches]
+    compiled_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ref = [forest.predict(b) for b in batches]
+    ref_s = time.perf_counter() - t0
+    return {
+        "n_trees": forest.n_trees,
+        "n_nodes": compiled.n_nodes,
+        "batch_size": FOREST_BATCH,
+        "identical_labels": bool(np.array_equal(np.concatenate(got), np.concatenate(ref))),
+        "compiled_rps": n / compiled_s,
+        "ref_vote_rps": n / ref_s,
+        "speedup_vs_ref_vote": ref_s / compiled_s,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,6 +194,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"{MIN_SPEEDUP:g}x floor"
             )
 
+    forest = forest_point(
+        bagged_forest(schema, train_cols, train_labels, args.seed), serve_cols, n
+    )
+    if not forest["identical_labels"]:
+        failures.append("forest: compiled votes differ from the reference vote")
+
     print(
         f"Serving path: {tree.n_nodes}-node tree (depth {tree.depth}), "
         f"{n:,} Quest records"
@@ -174,6 +230,22 @@ def main(argv: list[str] | None = None) -> int:
         )
     )
 
+    print(
+        f"\n{forest['n_trees']}-tree forest ({forest['n_nodes']} nodes), "
+        f"batch {forest['batch_size']}"
+    )
+    print(
+        format_table(
+            ["model", "records/sec", "vs ref vote", "identical"],
+            [
+                ["compiled forest", f"{forest['compiled_rps']:,.0f}",
+                 f"{forest['speedup_vs_ref_vote']:.2f}x",
+                 "yes" if forest["identical_labels"] else "NO"],
+                ["reference vote", f"{forest['ref_vote_rps']:,.0f}", "1.00x", "-"],
+            ],
+        )
+    )
+
     payload = {
         "benchmark": "serve",
         "quick": bool(args.quick),
@@ -188,6 +260,7 @@ def main(argv: list[str] | None = None) -> int:
         "baseline_sample": min(BASELINE_SAMPLE, n),
         "min_speedup": MIN_SPEEDUP,
         "points": points,
+        "forest": forest,
         "ok": not failures,
         "failures": failures,
     }

@@ -33,7 +33,8 @@ __all__ = [
 
 _NO_PHASE = "(no phase)"
 
-#: PhaseTimer phase the drivers open around every statistics exchange.
+#: PhaseTimer phase the drivers open around every statistics exchange
+#: (a forest prefixes it with the member tree: ``tree3/stats``).
 _STATS_PHASE = "stats"
 
 
@@ -262,7 +263,8 @@ class TraceReport:
     def exchange_rollup(self) -> list[ExchangeRow]:
         """Stats-exchange collective traffic grouped by frontier level:
         per level the number of collectives issued inside the driver's
-        ``stats`` phase and the exact bytes they moved (from
+        ``stats`` phase (tree-prefixed ``tree{t}/stats`` in a forest fit)
+        and the exact bytes they moved (from
         the tracer's :class:`RankStats` snapshots, summed over ranks).
         This is the payload-accounting view behind the voting strategy's
         O(attributes) → O(k) claim — compare the same run under
@@ -270,7 +272,11 @@ class TraceReport:
         acc: dict[int | None, list] = {}
         for t in self.tracers:
             for e in t.events:
-                if e.kind != "comm" or e.phase != _STATS_PHASE:
+                if (
+                    e.kind != "comm"
+                    or e.phase is None
+                    or e.phase.rsplit("/", 1)[-1] != _STATS_PHASE
+                ):
                     continue
                 cell = acc.setdefault(e.level, [0, 0.0, 0, 0])
                 cell[0] += 1

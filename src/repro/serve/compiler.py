@@ -5,22 +5,26 @@ chasing Python object pointers per record is the wrong shape for a read
 path that has to serve millions of records. :func:`compile_tree` flattens
 the tree into **node-major numpy tables** laid out in breadth-first
 order — feature index, threshold, left/right child, majority label, and a
-per-node **categorical-membership bitset** — and
-:meth:`CompiledTree.predict_batch` evaluates a whole request batch with
-levelwise ``np.take`` gathers over an array of per-record cursors: every
-iteration advances *all* records still inside the tree by one level at
-once, the vectorized analogue of the evaluate-all-levels-at-once trick
-from "Speculative Parallel Evaluation of Classification Trees on GPGPU
-Compute Engines" (PAPERS.md).
+per-node **categorical-membership bitset**.
+
+Evaluation runs on private **walk tables** built once from those public
+tables (:class:`_Walk`). One walk serves a single tree (B = 1) and a
+whole forest (B members stacked into one set of node arrays, see
+:mod:`repro.serve.forest`). A request batch becomes one feature-major
+``(F + 1, n)`` matrix, and every pass advances *all* unfinished
+(member, record) cursors by one level at once with flat ``np.take``
+gathers — the vectorized analogue of evaluating many trees and records
+in one data-parallel sweep, from "Speculative Parallel Evaluation of
+Classification Trees on GPGPU Compute Engines" (PAPERS.md).
 
 Semantics are pinned **bit-identical** to the reference
 ``DecisionTree.predict``:
 
 * numeric: ``value <= threshold`` routes left, so NaN (which compares
   false) routes right, exactly like the reference;
-* categorical: integer-code membership in the split's left set via the
-  bitset; non-integral, negative or out-of-range values are members of
-  nothing and route right, exactly like ``np.isin`` against the code
+* categorical: integer-code membership in the split's left set; NaN,
+  infinite, non-integral, negative or out-of-range values are members
+  of nothing and route right, exactly like ``np.isin`` against the code
   array.
 
 Compilation itself is iterative (breadth-first queue), so degenerate
@@ -29,8 +33,8 @@ chain trees deeper than the interpreter recursion limit compile fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -48,6 +52,145 @@ LEAF = -1
 
 
 @dataclass(frozen=True)
+class _Walk:
+    """Walk tables of B stacked members, built once at compile time.
+
+    Member ``b``'s nodes occupy rows ``roots[b]`` onwards and its
+    children point at absolute rows. The request matrix has one row per
+    schema feature plus a last all-zero row. **Leaves self-loop**: they
+    read that zero row, compare it with ``+inf`` and step to themselves,
+    so a finished cursor stays put without a per-level branch.
+    Categorical routing is one lookup in ``member``: row 0 (shared by
+    numeric nodes and leaves) is all false, each categorical node owns
+    one row, and the last column catches the sentinel code of invalid
+    values.
+    """
+
+    n_features: int  # F; row F of the request matrix is all zeros
+    roots: np.ndarray  # intp[B] root row of each member
+    feature: np.ndarray  # intp[N] matrix row each node reads, F at leaves
+    threshold: np.ndarray  # float64[N], NaN on categorical rows, +inf at leaves
+    left: np.ndarray  # intp[N] left child, the node itself at leaves
+    is_leaf: np.ndarray  # bool[N]
+    label: np.ndarray  # LABEL_DTYPE[N]
+    member_row: np.ndarray  # intp[N] offset of the node's row in ``member``
+    member: np.ndarray  # bool[(K + 1) * (n_codes + 1)], flat
+    n_codes: int  # bitset width; also the sentinel code of invalid values
+    used_features: np.ndarray  # sorted schema indices any member tests
+    cat_features: np.ndarray  # the categorical ones among them
+
+    @classmethod
+    def stack(cls, schema: Schema, members: Sequence["CompiledTree"]) -> "_Walk":
+        n_features = len(schema.names)
+        sizes = [len(m.feature) for m in members]
+        roots = np.zeros(len(members), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=roots[1:])
+        rows = np.arange(sum(sizes), dtype=np.intp)
+
+        feature = np.concatenate([m.feature for m in members]).astype(np.intp)
+        is_leaf = feature == LEAF
+        feature[is_leaf] = n_features
+        left = np.concatenate(
+            [m.left.astype(np.intp) + r for m, r in zip(members, roots)]
+        )
+        left[is_leaf] = rows[is_leaf]
+        threshold = np.concatenate([m.threshold for m in members])
+        threshold[is_leaf] = np.inf
+
+        is_cat = np.concatenate([m.is_cat for m in members])
+        cat_rows = np.flatnonzero(is_cat)
+        catmask = np.concatenate([m.catmask[m.is_cat] for m in members])
+        n_codes = members[0].catmask.shape[1] * 64
+        bits = np.unpackbits(
+            catmask.astype("<u8").view(np.uint8), axis=1, bitorder="little"
+        )
+        member = np.zeros((len(cat_rows) + 1, n_codes + 1), dtype=bool)
+        member[1:, :n_codes] = bits
+        member_row = np.zeros(len(rows), dtype=np.intp)
+        member_row[cat_rows] = np.arange(1, len(cat_rows) + 1) * (n_codes + 1)
+        used_features = np.unique(feature[~is_leaf])
+        used_features.flags.writeable = False  # handed out by used_features
+
+        return cls(
+            n_features=n_features,
+            roots=roots,
+            feature=feature,
+            threshold=threshold,
+            left=left,
+            is_leaf=is_leaf,
+            label=np.concatenate([m.label for m in members]),
+            member_row=member_row,
+            member=member.ravel(),
+            n_codes=n_codes,
+            used_features=used_features,
+            cat_features=np.unique(feature[is_cat]),
+        )
+
+    def matrix(self, schema: Schema, columns: dict[str, np.ndarray]) -> np.ndarray:
+        """The feature-major ``(F + 1, n)`` float64 request matrix: one
+        contiguous row write per used feature (int32 categorical codes
+        are exact in float64), the all-zero leaf row last. Rows of
+        features no member tests are left unfilled."""
+        n = len(next(iter(columns.values()))) if columns else 0
+        X = np.empty((self.n_features + 1, n), dtype=np.float64)
+        X[self.n_features] = 0.0
+        for f in self.used_features:
+            X[f] = columns[schema.names[f]]
+        return X
+
+    def codes(self, X: np.ndarray) -> np.ndarray:
+        """Categorical rows of ``X`` as small integer codes, aligned
+        with ``X`` so one flat index reads both. Values that are not an
+        integral code below the bitset width (NaN, ±inf, fractions,
+        negatives, anything too large) become the sentinel code. The
+        range check runs in float, so no value is cast out of range."""
+        out = np.zeros(X.shape, dtype=np.min_scalar_type(self.n_codes))
+        for f in self.cat_features:
+            v = X[f]
+            ok = (v >= 0) & (v < self.n_codes) & (np.floor(v) == v)
+            out[f] = np.where(ok, v, self.n_codes)
+        return out
+
+    def labels(self, X: np.ndarray) -> np.ndarray:
+        """Leaf label of every (member, record) pair, member-major:
+        pair ``b * n + i`` is member ``b`` on record ``i``.
+
+        The active pairs carry their node, record and output slot. Each
+        pass reads the pair's value with one flat gather, resolves the
+        branch-free predicate ``(x <= threshold) | member`` and steps to
+        ``left + ~go`` (breadth-first layout keeps ``right == left + 1``).
+        Once at least a quarter of the active pairs sit on leaves, their
+        labels are written out and the rest are compacted.
+        """
+        n = X.shape[1]
+        xs = X.ravel()
+        row_start = self.feature * n
+        cat = self.cat_features.size > 0
+        codes = self.codes(X).ravel() if cat else None
+
+        out = np.empty(len(self.roots) * n, dtype=LABEL_DTYPE)
+        node = np.repeat(self.roots, n)
+        rec = np.tile(np.arange(n, dtype=np.intp), len(self.roots))
+        slot = np.arange(out.size, dtype=np.intp)
+        while node.size:
+            flat = row_start.take(node)
+            flat += rec
+            go = xs.take(flat) <= self.threshold.take(node)
+            if cat:
+                go |= self.member.take(self.member_row.take(node) + codes.take(flat))
+            node = self.left.take(node)
+            node += ~go
+            done = self.is_leaf.take(node)
+            n_done = np.count_nonzero(done)
+            if 4 * n_done >= node.size:
+                fin = np.flatnonzero(done)
+                out[slot.take(fin)] = self.label.take(node.take(fin))
+                keep = np.flatnonzero(~done)
+                node, rec, slot = node.take(keep), rec.take(keep), slot.take(keep)
+        return out
+
+
+@dataclass(frozen=True)
 class CompiledTree:
     """A fitted tree flattened into node-major tables (breadth-first
     order, root at row 0).
@@ -56,8 +199,8 @@ class CompiledTree:
     carry the schema-ordered feature index, the numeric ``threshold``
     (NaN on categorical rows) and the children. ``catmask`` packs each
     categorical split's left-code set into 64-bit words; ``label`` holds
-    every node's majority class so the cursor array doubles as the
-    output gather index.
+    every node's majority class. Prediction runs on private walk tables
+    derived from these once, at construction.
     """
 
     schema: Schema
@@ -70,6 +213,10 @@ class CompiledTree:
     catmask: np.ndarray  # uint64[n, n_words] left-code bitsets
     node_id: np.ndarray  # int32[n] original builder node ids
     depth: int  # deepest node
+    _walk: _Walk = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_walk", _Walk.stack(self.schema, (self,)))
 
     # -- shape -------------------------------------------------------------
     @property
@@ -101,25 +248,14 @@ class CompiledTree:
     @property
     def used_features(self) -> np.ndarray:
         """Sorted schema indices of features the tree actually tests."""
-        return np.unique(self.feature[self.feature != LEAF])
-
-    @property
-    def has_categorical(self) -> bool:
-        return bool(self.is_cat.any())
+        return self._walk.used_features
 
     # -- evaluation --------------------------------------------------------
     def feature_matrix(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        """Gather the request columns into one record-major ``float64``
-        matrix (int32 categorical codes are exact in float64). Row
-        layout keeps one record's features on one cache line, which is
-        what the per-level gathers touch. Only columns for features the
-        tree tests are filled."""
-        names = self.schema.names
-        n = len(next(iter(columns.values()))) if columns else 0
-        X = np.empty((n, len(names)), dtype=np.float64)
-        for f in self.used_features:
-            X[:, f] = np.asarray(columns[names[f]], dtype=np.float64)
-        return X
+        """Gather the request columns into one feature-major ``(F + 1, n)``
+        float64 matrix; only features the tree tests are filled, and the
+        last row is the all-zero row leaves read."""
+        return self._walk.matrix(self.schema, columns)
 
     def predict_batch(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         """Vectorised batch prediction, bit-identical to the reference
@@ -127,58 +263,9 @@ class CompiledTree:
         return self.predict_matrix(self.feature_matrix(columns))
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Levelwise evaluation over a prebuilt record-major matrix.
-
-        ``cur`` holds each record's node row; every pass gathers the
-        active rows' split tables (``np.take``), resolves the routing
-        predicate, and advances the cursors. Breadth-first layout makes
-        siblings adjacent (``right == left + 1``), so advancing is one
-        gather plus the predicate — no second child table, no select.
-        Records that reach a leaf drop out of the active set, so the
-        work per pass shrinks with the frontier.
-        """
-        n = X.shape[0] if X.ndim == 2 else 0
-        cur = np.zeros(n, dtype=np.int64)
-        if self.feature[0] == LEAF:
-            active = np.empty(0, dtype=np.int64)
-        else:
-            active = np.arange(n, dtype=np.int64)
-        n_codes = self.catmask.shape[1] * 64
-        has_cat = self.has_categorical
-        while active.size:
-            c = cur[active]
-            vals = X[active, np.take(self.feature, c)]
-            # NaN thresholds on categorical rows compare false, so this
-            # single compare is already correct for every numeric row
-            # and a placeholder (right) for categorical rows
-            go_left = vals <= np.take(self.threshold, c)
-            if has_cat:
-                ci = np.flatnonzero(np.take(self.is_cat, c))
-                if ci.size:
-                    v = vals[ci]
-                    member = np.zeros(v.size, dtype=bool)
-                    # integer-valued, in-range codes are the only
-                    # candidates; everything else (NaN, fractions, out
-                    # of range) is a member of nothing and routes right,
-                    # matching np.isin against the code array
-                    finite = np.isfinite(v)
-                    iv = np.zeros(v.size, dtype=np.int64)
-                    iv[finite] = v[finite].astype(np.int64)
-                    ok = finite & (iv.astype(np.float64) == v)
-                    ok &= (iv >= 0) & (iv < n_codes)
-                    if ok.any():
-                        rows = c[ci][ok]
-                        codes = iv[ok]
-                        words = self.catmask[rows, codes >> 6]
-                        member[ok] = (
-                            words >> (codes & 63).astype(np.uint64)
-                        ) & 1 == 1
-                    go_left[ci] = member
-
-            nxt = np.take(self.left, c) + ~go_left
-            cur[active] = nxt
-            active = active[np.take(self.feature, nxt) != LEAF]
-        return np.take(self.label, cur).astype(LABEL_DTYPE, copy=False)
+        """Levelwise evaluation over a prebuilt feature-major matrix (the
+        layout :meth:`feature_matrix` returns)."""
+        return self._walk.labels(X)
 
 
 def compile_tree(tree: "DecisionTree") -> CompiledTree:
@@ -238,7 +325,7 @@ def compile_tree(tree: "DecisionTree") -> CompiledTree:
                     )
                 catmask[i, code >> 6] |= np.uint64(1) << np.uint64(code & 63)
 
-    # predict_matrix advances cursors as ``left + ~go_left``: the
+    # the walk advances cursors as ``left + ~go``: the
     # breadth-first queue appends left then right, so siblings are
     # always adjacent — keep this invariant machine-checked
     internal = feature != LEAF

@@ -1,11 +1,12 @@
 """Compile a fitted :class:`~repro.clouds.DecisionForest` for serving.
 
 Each member tree is flattened by :func:`~repro.serve.compiler.compile_tree`
-into its node-major tables; the forest engine stacks them behind one
-shared record-major feature matrix (built once per batch, filled for the
-union of the members' used features) and tallies the members' levelwise
-predictions into a per-record ballot box. The majority vote — ties to
-the lowest label code — is pinned **bit-identical** to the reference
+into its node-major tables; the forest stacks all members' walk tables
+into one set, so a request batch is one feature-major matrix (built once,
+filled for the union of the members' used features) and **one** levelwise
+walk advances every member's cursors together. The ballot box is one
+``bincount`` over ``record * n_classes + leaf_label``. The majority vote —
+ties to the lowest label code — is pinned **bit-identical** to the reference
 ``DecisionForest.predict``, which itself composes the per-tree reference
 walkers, so the whole chain
 
@@ -17,14 +18,14 @@ reference walker).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.data.schema import LABEL_DTYPE, Schema
 
-from .compiler import CompiledTree, compile_tree
+from .compiler import CompiledTree, _Walk, compile_tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.clouds.forest import DecisionForest
@@ -34,10 +35,15 @@ __all__ = ["CompiledForest", "compile_forest"]
 
 @dataclass(frozen=True)
 class CompiledForest:
-    """A fitted forest as stacked per-tree flat tables."""
+    """A fitted forest: the per-tree flat tables, plus one stacked set
+    of walk tables built from them at construction."""
 
     schema: Schema
     trees: tuple[CompiledTree, ...]
+    _walk: _Walk = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_walk", _Walk.stack(self.schema, self.trees))
 
     # -- shape -------------------------------------------------------------
     @property
@@ -59,28 +65,23 @@ class CompiledForest:
     @property
     def used_features(self) -> np.ndarray:
         """Sorted schema indices of features any member tests."""
-        return np.unique(np.concatenate([t.used_features for t in self.trees]))
+        return self._walk.used_features
 
     # -- evaluation --------------------------------------------------------
     def feature_matrix(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        """One record-major float64 matrix shared by every member's
-        levelwise evaluation; only the union of used features is filled."""
-        names = self.schema.names
-        n = len(next(iter(columns.values()))) if columns else 0
-        X = np.empty((n, len(names)), dtype=np.float64)
-        for f in self.used_features:
-            X[:, f] = np.asarray(columns[names[f]], dtype=np.float64)
-        return X
+        """One feature-major ``(F + 1, n)`` float64 matrix shared by every
+        member; only the union of used features is filled."""
+        return self._walk.matrix(self.schema, columns)
 
     def vote_counts(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        """Per-record ``(n, n_classes)`` ballot box of member votes."""
+        """Per-record ``(n, n_classes)`` int64 ballot box of member votes."""
         X = self.feature_matrix(columns)
-        n = X.shape[0]
-        counts = np.zeros((n, self.schema.n_classes), dtype=np.int64)
-        rows = np.arange(n)
-        for tree in self.trees:
-            counts[rows, tree.predict_matrix(X)] += 1
-        return counts
+        n, k = X.shape[1], self.schema.n_classes
+        ballot = np.tile(np.arange(n, dtype=np.intp) * k, self.n_trees)
+        ballot += self._walk.labels(X)
+        return np.bincount(ballot, minlength=n * k).reshape(n, k).astype(
+            np.int64, copy=False
+        )
 
     def predict_batch(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         """Vectorised majority vote, bit-identical to the reference

@@ -417,6 +417,24 @@ class TestForestMetrics:
             assert all(not k.startswith("tree") for k in phases)
             assert "bag" in phases
 
+    def test_trace_report_counts_tree_prefixed_stats_traffic(self, quest):
+        """Forest phases are tree-prefixed (``tree3/stats``); the
+        exchange roll-up must still see every stats-phase collective."""
+        from repro.cluster.tracereport import TraceReport
+
+        ds = make_dataset(quest, 4)
+        res = PForest(forest_config("data")).fit(ds, seed=SEED, trace=True)
+        stats_events = [
+            e
+            for t in res.tracers
+            for e in t.events
+            if e.kind == "comm" and e.phase and e.phase.endswith("/stats")
+        ]
+        report = TraceReport(res.tracers)
+        assert report.exchange_bytes() > 0
+        assert report.exchange_bytes() == sum(e.sent for e in stats_events)
+        assert sum(r.count for r in report.exchange_rollup()) == len(stats_events)
+
 
 # -- compiled voting ----------------------------------------------------------
 

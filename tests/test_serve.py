@@ -8,6 +8,7 @@ clock."""
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -30,7 +31,9 @@ from repro.clouds import (
 )
 from repro.clouds.tree import DecisionTree, TreeNode
 from repro.core import DistributedDataset, PClouds, PCloudsConfig
+from repro.clouds.forest import DecisionForest
 from repro.data import generate_quest, quest_schema
+from repro.data.schema import LABEL_DTYPE
 from repro.data.synthetic import make_blobs
 from repro.obs import HealthThresholds, MetricsRegistry
 from repro.obs.health import OUTSIDE_LEVEL
@@ -62,20 +65,30 @@ def fit_parallel(cols, labels, p, exchange):
     return PClouds(cfg).fit(ds, seed=2).tree
 
 
+#: values beyond any threshold or code: infinities and magnitudes at or
+#: past the int64 range (a cast to int64 would be platform-defined)
+EXTREMES = np.array([np.inf, -np.inf, 2.0**63, -(2.0**63), 1e300, -1e300])
+
+
 def adversarial_columns(schema, n, rng):
-    """A request batch exercising every routing edge case: NaN in
-    numerics, and categorical queries that are negative, fractional, or
-    beyond the schema cardinality."""
+    """A request batch exercising every routing edge case: NaN, ±inf and
+    huge magnitudes in numerics, and categorical queries that are
+    negative, fractional, NaN, infinite, at the bitset width (63, 64) or
+    far beyond the schema cardinality."""
     cols = {}
     for a in schema.numeric:
         v = rng.normal(0.0, 1e5, n)
         v[rng.random(n) < 0.1] = np.nan
+        wild = rng.random(n) < 0.1
+        v[wild] = rng.choice(EXTREMES, int(wild.sum()))
         cols[a.name] = v
     for a in schema.categorical:
         v = rng.integers(-2, a.cardinality + 2, n).astype(np.float64)
         frac = rng.random(n) < 0.15
         v[frac] += 0.5
         v[rng.random(n) < 0.05] = np.nan
+        wild = rng.random(n) < 0.1
+        v[wild] = rng.choice(np.append(EXTREMES, [63.0, 64.0]), int(wild.sum()))
         cols[a.name] = v
     return cols
 
@@ -201,7 +214,12 @@ class TestCompiledLayout:
 # property: compiled equals reference on arbitrary batches
 
 
-@pytest.fixture(scope="module")
+# The models of the property tests are built once by cached functions,
+# not fixtures: Hypothesis prints every argument of a failing example,
+# and a tree's repr is huge (a deep chain's recurses past the limit).
+
+
+@functools.cache
 def property_tree():
     schema = quest_schema()
     cols, labels = generate_quest(2000, function=2, seed=7, noise=0.02)
@@ -209,15 +227,16 @@ def property_tree():
     return schema, tree, tree.compile()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400))
 @settings(max_examples=40, deadline=None)
-def test_property_compiled_equals_reference(property_tree, seed, n):
-    schema, tree, compiled = property_tree
+def test_property_compiled_equals_reference(seed, n):
+    schema, tree, compiled = property_tree()
     rng = np.random.default_rng(seed)
     cols = adversarial_columns(schema, n, rng)
-    np.testing.assert_array_equal(
-        compiled.predict_batch(cols), tree.predict(cols)
-    )
+    got = compiled.predict_batch(cols)
+    np.testing.assert_array_equal(got, tree.predict(cols))
+    assert got.dtype == LABEL_DTYPE
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +336,100 @@ class TestDeepChain:
         assert _json_nesting_depth('{"a": [{"b": 1}]}') == 3
         # brackets inside string literals (and escaped quotes) don't nest
         assert _json_nesting_depth('{"a": "[[[\\"{"}') == 1
+
+
+# ---------------------------------------------------------------------------
+# compiled forests: one stacked walk == the reference vote
+
+
+def leaf_tree(schema, label: int) -> DecisionTree:
+    """A root-leaf tree voting ``label`` on every record."""
+    counts = np.ones(schema.n_classes, dtype=np.int64)
+    counts[label] = 2
+    return DecisionTree(
+        root=TreeNode(node_id=0, depth=0, class_counts=counts), schema=schema
+    )
+
+
+@functools.cache
+def member_pool():
+    """Forest members of every shape: fitted trees of different sizes
+    (their categorical splits included), root leaves voting each class,
+    and the deep chain from :class:`TestDeepChain`."""
+    schema = quest_schema()
+    cols, labels = generate_quest(3000, function=2, seed=13, noise=0.05)
+    fitted = [
+        fit_direct(
+            schema,
+            {k: v[i * 500 : i * 500 + 1500] for k, v in cols.items()},
+            labels[i * 500 : i * 500 + 1500],
+            StoppingRule(min_node=m),
+        )
+        for i, m in enumerate((4, 16, 64, 8))
+    ]
+    chain, _ = make_chain_tree(sys.getrecursionlimit() + 200)
+    return schema, fitted + [leaf_tree(schema, 0), leaf_tree(schema, 1), chain]
+
+
+def assert_forest_matches(forest, columns):
+    compiled = forest.compile()
+    assert compiled.n_trees == forest.n_trees
+    np.testing.assert_array_equal(
+        compiled.vote_counts(columns), forest.vote_counts(columns)
+    )
+    got = compiled.predict_batch(columns)
+    np.testing.assert_array_equal(got, forest.predict(columns))
+    assert got.dtype == LABEL_DTYPE
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 300),
+    members=st.sampled_from([1, 2, 3, 8]).flatmap(
+        lambda b: st.lists(st.integers(0, 6), min_size=b, max_size=b)
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_compiled_forest_equals_reference(seed, n, members):
+    schema, pool = member_pool()
+    forest = DecisionForest(trees=[pool[i] for i in members], schema=schema)
+    assert_forest_matches(forest, adversarial_columns(schema, n, np.random.default_rng(seed)))
+
+
+class TestCompiledForest:
+    def test_tied_votes_go_to_the_lowest_code(self):
+        schema, _ = member_pool()
+        forest = DecisionForest(
+            trees=[leaf_tree(schema, 1), leaf_tree(schema, 0)], schema=schema
+        )
+        cols = adversarial_columns(schema, 50, np.random.default_rng(1))
+        assert_forest_matches(forest, cols)
+        np.testing.assert_array_equal(forest.compile().predict_batch(cols), 0)
+
+    def test_every_member_shape_in_one_forest(self):
+        """All pool members at once, so the stacked walk carries a root
+        leaf, categorical splits and a chain deeper than the recursion
+        limit through the same passes."""
+        schema, pool = member_pool()
+        forest = DecisionForest(trees=list(pool), schema=schema)
+        chain_attr = schema.numeric[0].name
+        cols = adversarial_columns(schema, 2000, np.random.default_rng(2))
+        # a spread of chain exits, down to the bottom leaf
+        depth = pool[-1].depth
+        cols[chain_attr][:1000] = -np.linspace(0, depth + 5, 1000)
+        assert_forest_matches(forest, cols)
+
+    def test_members_keep_their_own_tables(self):
+        schema, pool = member_pool()
+        compiled = DecisionForest(trees=pool[:3], schema=schema).compile()
+        for member, tree in zip(compiled.trees, pool[:3]):
+            alone = tree.compile()
+            for name in ("feature", "threshold", "left", "right", "label",
+                         "is_cat", "catmask", "node_id"):
+                np.testing.assert_array_equal(
+                    getattr(member, name), getattr(alone, name)
+                )
 
 
 # ---------------------------------------------------------------------------
